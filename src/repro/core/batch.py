@@ -10,9 +10,10 @@ stack.  Every column is bit-identical to what the scalar path derives for
 the same items (the byte-equivalence tests pin this), so the wire-format
 contract survives the representation change.
 
-The only scalar work left is the per-key fold (arbitrary Python keys must
-be byte-encoded and chunk-mixed one at a time); everything derived from
-the folded lanes is vectorised via
+The key fold is columnar too: :func:`~repro.hashing.hash_family.fold_keys`
+mixes one 8-byte word column of the whole batch per pass (fixed-width
+keys such as int 5-tuples are even encoded without per-key Python), and
+everything derived from the folded lanes is vectorised via
 :meth:`~repro.core.addressing.DartAddressing.resolve_folded`.
 """
 

@@ -17,13 +17,18 @@ statistical simulator, which needs to hash tens of millions of keys.
 from __future__ import annotations
 
 import struct
-from typing import Iterable, Union
+from itertools import chain
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 Key = Union[bytes, str, int, tuple]
 
 _U64 = 0xFFFFFFFFFFFFFFFF
+
+#: Starting accumulator of the key fold: the FNV offset basis, an
+#: arbitrary non-zero start.
+_FOLD_BASIS = 0xCBF29CE484222325
 
 
 def stable_key_bytes(key: Key) -> bytes:
@@ -84,7 +89,7 @@ def fold_key(key: Key) -> int:
 
 def _fold_bytes(data: bytes) -> int:
     """Fold arbitrary-length bytes into a 64-bit lane with mixing per word."""
-    acc = 0xCBF29CE484222325  # FNV offset basis, an arbitrary non-zero start
+    acc = _FOLD_BASIS
     for offset in range(0, len(data), 8):
         chunk = data[offset : offset + 8]
         word = int.from_bytes(chunk, "big")
@@ -94,17 +99,99 @@ def _fold_bytes(data: bytes) -> int:
 
 
 def fold_keys(keys: Iterable[Key]) -> np.ndarray:
-    """Fold many keys into a ``uint64`` lane array (one :func:`fold_key` each).
+    """Fold many keys into a ``uint64`` lane array, equal to :func:`fold_key` each.
 
-    The per-key fold is irreducibly scalar (arbitrary Python keys, chunked
-    byte mixing), but it is the *only* scalar work the columnar batch path
-    performs; every downstream family hash finishes vectorised via
+    The batch is first laid out as a zero-padded byte matrix, one encoded
+    key per row, and then folded column-wise: one vectorised splitmix64
+    pass per 8-byte word, whatever the batch size.  Two encoders build the
+    matrix:
+
+    - fixed-width batches (plain ints, or same-arity tuples of ints, all
+      in ``[0, 2**64)``) are encoded with numpy, no Python per key;
+    - any other batch is encoded per key with :func:`stable_key_bytes`,
+      which also raises its errors for invalid keys.
+
+    Every family hash then finishes vectorised via
     :meth:`HashFamily.hash_folded_array`.
     """
-    keys = list(keys) if not isinstance(keys, (list, tuple)) else keys
-    return np.fromiter(
-        (fold_key(key) for key in keys), dtype=np.uint64, count=len(keys)
+    keys = keys if isinstance(keys, (list, tuple)) else list(keys)
+    if not keys:
+        return np.zeros(0, dtype=np.uint64)
+    fixed = _fixed_width_bytes(keys)
+    if fixed is not None:
+        data, length = fixed
+        return _fold_rows(data, np.full(len(keys), length, dtype=np.int64))
+    encoded = [stable_key_bytes(key) for key in keys]
+    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(keys))
+    width = _word_aligned(int(lengths.max()))
+    data = np.frombuffer(
+        b"".join(row.ljust(width, b"\x00") for row in encoded), dtype=np.uint8
+    ).reshape(len(keys), width)
+    return _fold_rows(data, lengths)
+
+
+def _word_aligned(length: int) -> int:
+    """``length`` rounded up to a whole number of 8-byte words."""
+    return -(-length // 8) * 8
+
+
+def _fixed_width_bytes(keys: Sequence[Key]) -> Optional[Tuple[np.ndarray, int]]:
+    """``stable_key_bytes`` of every key as a padded ``uint8`` matrix, or ``None``.
+
+    Only batches of plain ``int`` keys, or of tuples of one arity whose
+    elements are all plain ``int``, qualify; every value must lie in
+    ``[0, 2**64)`` (numpy's conversion raises ``OverflowError`` otherwise,
+    and the general encoder takes over).  A plain int encodes as its 8
+    big-endian bytes; a tuple element as a 4-byte length 8 followed by
+    those 8 bytes.  Returns the matrix, zero-padded to whole words, and
+    the encoded length every row shares.
+    """
+    count = len(keys)
+    kinds = set(map(type, keys))
+    try:
+        if kinds == {int}:
+            values = np.fromiter(keys, dtype=np.uint64, count=count)
+            return values.astype(">u8").view(np.uint8).reshape(count, 8), 8
+        if kinds != {tuple} or len(set(map(len, keys))) != 1:
+            return None
+        if not set(map(type, chain.from_iterable(keys))) <= {int}:
+            return None
+        arity = len(keys[0])
+        values = np.fromiter(
+            chain.from_iterable(keys), dtype=np.uint64, count=count * arity
+        )
+    except OverflowError:
+        return None
+    length = 12 * arity
+    data = np.zeros((count, _word_aligned(length)), dtype=np.uint8)
+    # A view: splitting the contiguous last axis never copies.
+    elements = data[:, :length].reshape(count, arity, 12)
+    elements[:, :, 3] = 8
+    elements[:, :, 4:] = values.astype(">u8").view(np.uint8).reshape(count, arity, 8)
+    return data, length
+
+
+def _fold_rows(data: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """:func:`_fold_bytes` of every row of a zero-padded byte matrix.
+
+    Row ``i`` holds ``lengths[i]`` bytes, and the matrix width is a whole
+    number of words.  The matrix is read as big-endian words, a partial
+    last word is right-aligned (as ``int.from_bytes`` reads a short
+    chunk), and each word column is mixed in one pass; a row's
+    accumulator only advances while the column lies inside that row.
+    """
+    words = data.view(">u8").astype(np.uint64)
+    tail = lengths % 8
+    partial = np.flatnonzero(tail)
+    words[partial, lengths[partial] // 8] >>= (8 * (8 - tail[partial])).astype(
+        np.uint64
     )
+    word_counts = (lengths + 7) // 8
+    acc = np.full(len(lengths), _FOLD_BASIS, dtype=np.uint64)
+    for column, word in enumerate(words.T):
+        mixed = _splitmix64_np(acc ^ word)
+        acc = np.where(column < word_counts, mixed, acc)
+    return _splitmix64_np(acc ^ lengths.astype(np.uint64))
 
 
 def _splitmix64_np(values: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ Grammar (case-insensitive keywords; see DESIGN.md for the worked form)::
     agg     := "sum" | "count" | "avg" | "min" | "max"
     pred    := field op literal
     op      := "==" | "!=" | ">=" | "<=" | ">" | "<" | "contains"
-    literal := NUMBER | "quoted string" | bareword
+    literal := NUMBER | "true" | "false" | "quoted string" | bareword
 
 Everything parses into an immutable :class:`Query`; malformed text
 raises :class:`QueryParseError` with the offending token.  The parsed
@@ -44,8 +44,8 @@ from typing import Dict, Optional, Tuple, Union
 
 from repro.core.policies import ReturnPolicy
 
-#: Literal value of one predicate comparison.
-LiteralValue = Union[int, float, str]
+#: Literal value of one predicate comparison (``bool`` compares as 0/1).
+LiteralValue = Union[bool, int, float, str]
 
 
 class QueryParseError(ValueError):
@@ -135,7 +135,9 @@ class Predicate:
     def describe(self) -> str:
         """The clause in canonical query-text form."""
         literal = self.literal
-        if isinstance(literal, str):
+        if isinstance(literal, bool):
+            literal = str(literal).lower()
+        elif isinstance(literal, str):
             literal = f'"{literal}"'
         return f"{self.field} {self.op} {literal}"
 
@@ -250,9 +252,15 @@ class _TokenStream:
 
 
 def _parse_literal(token: str) -> LiteralValue:
-    """A predicate literal from one token (number / quoted / bareword)."""
+    """A predicate literal from one token (number / quoted / bareword).
+
+    Barewords ``true`` and ``false`` are booleans, which compare equal to
+    1 and 0 (the ``answered`` field); quoted, they stay strings.
+    """
     if token and token[0] in "\"'":
         return token[1:-1]
+    if token.lower() in ("true", "false"):
+        return token.lower() == "true"
     try:
         if re.fullmatch(r"-?\d+", token):
             return int(token)

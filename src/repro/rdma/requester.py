@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, List, Optional
 
-from repro.rdma.packets import RoceV2Packet
+from repro.rdma.packets import PacketDecodeError, RoceV2Packet
 from repro.rdma.qp import PSN_MODULUS
 
 #: Delivers one wire frame toward the responder; returns response frames
@@ -58,6 +58,9 @@ class RequesterStats:
     retransmitted: int = 0
     acked: int = 0
     timeouts: int = 0
+    #: Responses dropped because they failed to decode (truncated,
+    #: corrupt, bad iCRC); the request's timeout retransmits it.
+    dropped_decode: int = 0
 
 
 class ReliableRequester:
@@ -132,8 +135,9 @@ class ReliableRequester:
     def _process_response(self, frame: bytes) -> None:
         try:
             packet = RoceV2Packet.unpack(frame)
-        except Exception:
-            return  # corrupt responses are ignored; timeout recovers
+        except PacketDecodeError:
+            self.stats.dropped_decode += 1
+            return  # the request's timeout recovers
         psn = packet.bth.psn
         request = self._pending.pop(psn, None)
         if request is None:

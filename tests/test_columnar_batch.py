@@ -20,7 +20,7 @@ from repro.collector.store import DartStore
 from repro.fabric import BufferedFabric, ImpairedFabric, InlineFabric
 from repro.hashing.checksum import CHECKSUM_FUNCTION_INDEX
 from repro.hashing.crc import CRC32
-from repro.hashing.hash_family import fold_key, fold_keys
+from repro.hashing.hash_family import _fixed_width_bytes, fold_key, fold_keys
 from repro.mem.region import MemoryRegion, RegionAccessError
 from repro.rdma.frames import icrc_rows, write_be64, write_le32
 from repro.switch.dart_switch import DartSwitch
@@ -39,6 +39,24 @@ def make_items(count, width=7):
         key = (f"10.0.{i >> 8 & 255}.{i & 255}", "10.9.9.9", 5000 + i, 80, 6)
         value = (b"val-%d!" % i)[: i % (width + 1)]
         items.append((key, value))
+    return items
+
+
+def make_int_5tuple_items(count):
+    """All-int ``(src_ip, dst_ip, src_port, dst_port, proto)`` keyed items.
+
+    Every element is a plain ``int`` below 2**64, so these keys reach the
+    fixed-width (numpy) encoder of ``fold_keys``; some rows sit at the top
+    of the 64-bit range to exercise the big-endian layout's high bytes.
+    """
+    top = 2**64 - 1
+    items = []
+    for i in range(count):
+        if i % 4 == 3:
+            key = (top - i, top - 2 * i, top, 65535 - i, 17)
+        else:
+            key = (0x0A000000 + i, 0x0A090909, 5000 + i, 80, 6)
+        items.append((key, b"val-%d!" % i))
     return items
 
 
@@ -257,6 +275,36 @@ class TestStoreStateEquivalence:
             nic_counter_views(scalar), nic_counter_views(columnar)
         ):
             assert left == right
+        assert frame_accounting(scalar.fabric.counters) == frame_accounting(
+            columnar.fabric.counters
+        )
+        if isinstance(scalar.fabric, ImpairedFabric):
+            assert frame_accounting(
+                scalar.fabric.delivered
+            ) == frame_accounting(columnar.fabric.delivered)
+
+    @pytest.mark.parametrize(
+        "factory", [f for _name, f in FABRIC_FACTORIES],
+        ids=[name for name, _f in FABRIC_FACTORIES],
+    )
+    def test_int_5tuple_columnar_store_matches_scalar_store(self, factory):
+        """All-int 5-tuples take the numpy key encoder on the columnar
+        path and the scalar fold on the packet path; both must land the
+        same region bytes, NIC counters and frame accounting."""
+        config = small_config(num_collectors=3, slots_per_collector=512)
+        items = make_int_5tuple_items(150)
+        assert _fixed_width_bytes([key for key, _value in items]) is not None
+
+        scalar = DartStore(config, packet_level=True, fabric=factory())
+        columnar = DartStore(
+            config, packet_level=True, fabric=factory(), columnar=True
+        )
+        assert scalar.put_many(items) == columnar.put_many(items)
+        scalar.fabric.flush()
+        columnar.fabric.flush()
+
+        assert region_snapshots(scalar) == region_snapshots(columnar)
+        assert nic_counter_views(scalar) == nic_counter_views(columnar)
         assert frame_accounting(scalar.fabric.counters) == frame_accounting(
             columnar.fabric.counters
         )

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from repro.hashing.hash_family import (
     HashFamily,
+    _fixed_width_bytes,
+    fold_key,
+    fold_keys,
     hash_distribution_chi2,
     mix64,
     splitmix64,
@@ -171,6 +174,136 @@ class TestVectorisedHashing:
     def test_mod_zero_rejected(self):
         with pytest.raises(ValueError):
             HashFamily().hash_array_mod(np.arange(4, dtype=np.uint64), 0, 0)
+
+
+U64_MAX = 2**64 - 1
+
+#: Keys the general encoder must handle: empty and non-ASCII strings,
+#: bytes, wide ints, ``("flow", int)`` pairs and nested tuples.
+general_key_strategy = st.recursive(
+    st.one_of(
+        st.text(max_size=12),
+        st.binary(max_size=20),
+        st.integers(min_value=0, max_value=2**80),
+        st.tuples(st.just("flow"), st.integers(min_value=0, max_value=2**70)),
+    ),
+    lambda children: st.lists(children, max_size=4).map(tuple),
+    max_leaves=8,
+)
+
+
+@st.composite
+def equal_arity_int_tuples(draw):
+    """Same-arity int tuples; sometimes one row carries an element >= 2**64."""
+    arity = draw(st.integers(min_value=0, max_value=7))
+    rows = draw(
+        st.lists(
+            st.lists(
+                st.integers(min_value=0, max_value=U64_MAX),
+                min_size=arity,
+                max_size=arity,
+            ),
+            max_size=40,
+        )
+    )
+    if arity and rows and draw(st.booleans()):
+        row = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        column = draw(st.integers(min_value=0, max_value=arity - 1))
+        rows[row][column] = draw(st.integers(min_value=2**64, max_value=2**80))
+    return [tuple(row) for row in rows]
+
+
+def assert_fold_matches_scalar(keys):
+    folded = fold_keys(keys)
+    assert folded.dtype == np.uint64
+    assert folded.tolist() == [fold_key(key) for key in keys]
+
+
+class TestFoldKeysDifferential:
+    """The columnar fold is bit-identical to the scalar ``fold_key``."""
+
+    @given(keys=st.lists(st.integers(min_value=0, max_value=2**80), max_size=40))
+    def test_plain_ints(self, keys):
+        assert_fold_matches_scalar(keys)
+
+    @given(keys=equal_arity_int_tuples())
+    def test_equal_arity_int_tuples(self, keys):
+        assert_fold_matches_scalar(keys)
+
+    @given(
+        keys=st.lists(
+            st.lists(
+                st.integers(min_value=0, max_value=U64_MAX), max_size=6
+            ).map(tuple),
+            max_size=40,
+        )
+    )
+    def test_ragged_arities(self, keys):
+        assert_fold_matches_scalar(keys)
+
+    @given(keys=st.lists(general_key_strategy, max_size=40))
+    def test_general_keys(self, keys):
+        assert_fold_matches_scalar(keys)
+
+    @given(keys=st.lists(general_key_strategy, max_size=20))
+    def test_any_iterable_input(self, keys):
+        expected = [fold_key(key) for key in keys]
+        assert fold_keys(key for key in keys).tolist() == expected
+        assert fold_keys(tuple(keys)).tolist() == expected
+
+    def test_empty_encodings(self):
+        assert_fold_matches_scalar(["", b"", ()])
+        assert_fold_matches_scalar([(), ()])
+        assert_fold_matches_scalar([""])
+
+    def test_empty_batch(self):
+        folded = fold_keys([])
+        assert folded.dtype == np.uint64 and folded.shape == (0,)
+        assert fold_keys(iter(())).shape == (0,)
+
+    def test_five_tuples_take_the_fixed_width_encoder(self):
+        keys = [(167772161, 3232235777, 5000, 80, 6), (U64_MAX, 0, 1, 2, 17)]
+        data, length = _fixed_width_bytes(keys)
+        assert length == 60
+        for row, key in zip(data, keys):
+            assert row[:length].tobytes() == stable_key_bytes(key)
+        assert_fold_matches_scalar(keys)
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            [("5", 2)],
+            ["5", "6"],
+            [(1, 2), (3, "4")],
+            [(1, 2), (3, 4, 5)],
+            [(1, 2**64)],
+            [2**64, 1],
+        ],
+    )
+    def test_other_batches_take_the_general_encoder(self, keys):
+        """Strings are never parsed by numpy; wide or ragged ints fall back."""
+        assert _fixed_width_bytes(keys) is None
+        assert_fold_matches_scalar(keys)
+
+    @given(
+        bad=st.sampled_from(
+            [True, False, -1, -(2**70), 1.5, float("nan"), None, [1], {1}]
+        ),
+        as_element=st.booleans(),
+        size=st.integers(min_value=1, max_value=12),
+        data=st.data(),
+    )
+    def test_invalid_key_raises_like_stable_key_bytes(
+        self, bad, as_element, size, data
+    ):
+        keys = [(i, i + 1) for i in range(size)]
+        position = data.draw(st.integers(min_value=0, max_value=size - 1))
+        keys[position] = (position, bad) if as_element else bad
+        with pytest.raises(Exception) as scalar_error:
+            stable_key_bytes(keys[position])
+        with pytest.raises(Exception) as batch_error:
+            fold_keys(keys)
+        assert type(batch_error.value) is scalar_error.type
 
 
 def test_chi2_empty_rejected():

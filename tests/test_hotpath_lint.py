@@ -11,7 +11,10 @@ with the offending ``file:line`` in the message.
 Scalar reference paths (``report_into``, ``receive_frame``, ...) are
 exempt: the rule applies only to functions whose names mark them as part
 of the batch datapath (``*batch*`` / ``*columnar*`` / ``*_many``, the
-naming convention the primitive translators' batched entry points use).
+naming convention the primitive translators' batched entry points use)
+and to the columnar key fold ``fold_keys``, which must not slide back to
+one scalar fold per key.  Comprehensions and generator expressions count
+as loops.
 """
 
 import ast
@@ -35,7 +38,11 @@ HOT_PATH_MODULES = [
     SRC / "primitives" / "translator.py",
     SRC / "primitives" / "append.py",
     SRC / "primitives" / "sketch.py",
+    SRC / "hashing" / "hash_family.py",
 ]
+
+#: Batch functions whose names do not follow the naming convention.
+BATCH_FUNCTION_NAMES = {"fold_keys"}
 
 #: Per-report object constructors and codecs.  Constructing any of these
 #: once per report inside a batch loop defeats the columnar layout.
@@ -51,7 +58,21 @@ PER_REPORT_CONSTRUCTORS = {
     "AtomicEth",
     "unpack",  # RoceV2Packet.unpack and friends: per-frame decode
     "compute_icrc",  # the scalar iCRC; batch code uses icrc_rows
+    "fold_key",  # the scalar key fold; batch code uses fold_keys
+    "_fold_bytes",
+    "splitmix64",  # the scalar mixer; batch code uses _splitmix64_np
 }
+
+#: Loop constructs: statements and the comprehension family.
+LOOP_NODES = (
+    ast.For,
+    ast.AsyncFor,
+    ast.While,
+    ast.ListComp,
+    ast.SetComp,
+    ast.DictComp,
+    ast.GeneratorExp,
+)
 
 
 def _call_name(node: ast.Call) -> str:
@@ -71,14 +92,15 @@ def _batch_functions(tree: ast.AST):
             "batch" in node.name
             or "columnar" in node.name
             or node.name.endswith("_many")
+            or node.name in BATCH_FUNCTION_NAMES
         ):
             yield node
 
 
 def _loop_violations(function: ast.AST, path: pathlib.Path):
-    """Banned constructor calls inside any loop of ``function``."""
+    """Banned calls inside any loop of ``function``."""
     for node in ast.walk(function):
-        if not isinstance(node, (ast.For, ast.While)):
+        if not isinstance(node, LOOP_NODES):
             continue
         for inner in ast.walk(node):
             if isinstance(inner, ast.Call):
@@ -118,3 +140,20 @@ def test_lint_catches_a_seeded_violation():
     function = next(_batch_functions(tree))
     flagged = list(_loop_violations(function, pathlib.Path("seeded.py")))
     assert len(flagged) == 1 and "RoceV2Packet" in flagged[0]
+
+
+def test_lint_catches_a_scalar_key_fold():
+    """A per-key fold inside ``fold_keys`` is flagged, loop or generator."""
+    tree = ast.parse(
+        "def fold_keys(keys):\n"
+        "    lanes = np.fromiter((fold_key(k) for k in keys), dtype=np.uint64)\n"
+        "    for key in keys:\n"
+        "        splitmix64(_fold_bytes(stable_key_bytes(key)))\n"
+        "    return lanes\n"
+    )
+    function = next(_batch_functions(tree))
+    flagged = list(_loop_violations(function, pathlib.Path("seeded.py")))
+    assert len(flagged) == 3
+    assert {"fold_key", "splitmix64", "_fold_bytes"} == {
+        line.split(" calls ")[1].split("(")[0] for line in flagged
+    }

@@ -127,6 +127,20 @@ class TestIdentityPerFabric:
             == sum(len(s.recover()) for s in fleet.ring_stores.values())
         )
 
+    @pytest.mark.parametrize("flavour", FLAVOURS)
+    def test_answered_true_matches_answered_one(self, registry, flavour):
+        fleet = build_fleet(flavour, registry)
+        service = QueryService(fleet, cache_ttl_ticks=1)
+        by_bool = service.serve("select key from keys where answered == true")
+        by_int = service.serve("select key from keys where answered == 1")
+        assert by_bool.answer.rows == by_int.answer.rows
+        assert len(by_bool.answer.rows) > 0
+        count = "select count(*) from keys where answered == {}"
+        assert (
+            service.serve(count.format("false")).answer.value
+            == service.serve(count.format(0)).answer.value
+        )
+
 
 class TestMidRunFailover:
     @pytest.mark.parametrize("flavour", CONTROLLED_FLAVOURS)

@@ -118,6 +118,19 @@ class TestClauses:
         query = parse_query("select value from keys policy consensus_2")
         assert query.policy is ReturnPolicy.CONSENSUS_2
 
+    def test_boolean_literals(self):
+        where = "select key from keys where "
+        (true,) = parse_query(where + "answered == true").predicates
+        (false,) = parse_query(where + "answered != FALSE").predicates
+        assert true.literal is True and false.literal is False
+        assert true.matches({"answered": True})
+        assert not true.matches({"answered": False})
+        assert false.matches({"answered": True})
+        # Quoted, the word stays a string.
+        (quoted,) = parse_query(where + 'key == "true"').predicates
+        assert quoted.literal == "true" and isinstance(quoted.literal, str)
+        assert quoted.matches({"key": "true"})
+
 
 class TestPredicateMatching:
     def test_bytes_compared_as_stripped_text(self):
@@ -160,6 +173,11 @@ class TestCanonicalForm:
         ]
         canonicals = {parse_query(text).canonical() for text in spellings}
         assert len(canonicals) == 1
+
+    def test_boolean_literal_round_trips(self):
+        query = parse_query("select count(*) from keys where answered == true")
+        assert "answered == true" in query.canonical()
+        assert parse_query(query.canonical()) == query
 
     def test_policy_in_canonical(self):
         query = parse_query("select value from keys policy first_match")

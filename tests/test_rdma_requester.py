@@ -130,6 +130,37 @@ class TestLossRecovery:
         assert requester.is_complete(psn)
 
 
+class TestResponseDecodeDrops:
+    def test_truncated_response_counted_then_retried_on_timeout(self):
+        _, inner = make_responder()
+        truncated = []
+
+        def deliver(frame):
+            responses = inner(frame)
+            if not truncated:  # only the first round trip is corrupted
+                truncated.append(True)
+                return [response[:20] for response in responses]
+            return responses
+
+        requester = ReliableRequester(deliver, timeout_ticks=2, max_retries=3)
+        psn = requester.post(read_request(va=0x1010, length=4))
+        assert not requester.is_complete(psn)
+        assert requester.stats.dropped_decode == 1
+        assert requester.stats.acked == 0
+        requester.tick(2)  # timeout fires; the retransmission is answered
+        assert requester.is_complete(psn)
+        assert requester.response_of(psn) == bytes([16, 17, 18, 19])
+        assert requester.stats.retransmitted == 1
+        assert requester.stats.dropped_decode == 1
+
+    def test_non_decode_errors_propagate(self):
+        """Only malformed frames are dropped; a bug surfaces."""
+        requester = ReliableRequester(lambda frame: [None])
+        with pytest.raises(TypeError):
+            requester.post(read_request())
+        assert requester.stats.dropped_decode == 0
+
+
 class TestValidation:
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
