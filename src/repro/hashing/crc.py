@@ -16,7 +16,6 @@ check values ("123456789" vectors from the CRC catalogue).
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -30,6 +29,39 @@ def _reflect(value: int, width: int) -> int:
         reflected = (reflected << 1) | (value & 1)
         value >>= 1
     return reflected
+
+
+def _reflect_array(values: np.ndarray, width: int) -> np.ndarray:
+    """:func:`_reflect` of every element of an unsigned integer array."""
+    kind = values.dtype.type
+    reflected = np.zeros_like(values)
+    for bit in range(width):
+        reflected |= ((values >> kind(bit)) & kind(1)) << kind(width - 1 - bit)
+    return reflected
+
+
+def _varying_columns(rows: np.ndarray) -> np.ndarray:
+    """Indexes of the columns of a ``uint8`` matrix that vary.
+
+    Column-wise max/min over a C-contiguous matrix step once per row, so
+    whole groups of rows are first laid side by side (a free reshape) and
+    the reductions step once per group; rows short of a group are reduced
+    as they are.
+    """
+    count, width = rows.shape
+    group = max(1, 4096 // max(width, 1))
+    body = count - count % group
+    high = rows[body:].max(axis=0, initial=0)
+    low = rows[body:].min(axis=0, initial=255)
+    if body:
+        side_by_side = rows[:body].reshape(body // group, group * width)
+        high = np.maximum(
+            high, side_by_side.max(axis=0).reshape(group, width).max(axis=0)
+        )
+        low = np.minimum(
+            low, side_by_side.min(axis=0).reshape(group, width).min(axis=0)
+        )
+    return np.flatnonzero(high != low)
 
 
 def _build_table(poly: int, width: int, reflected: bool) -> Tuple[int, ...]:
@@ -110,62 +142,74 @@ class CrcAlgorithm:
     def compute_rows(self, rows: np.ndarray) -> np.ndarray:
         """CRC of every row of a ``uint8`` matrix at once (vectorised).
 
-        ``rows`` has shape ``(n, width)``; the result is a ``uint32`` array
-        of ``n`` CRCs, bit-identical to calling :meth:`compute` on each
-        row's bytes.  The trick is to iterate over byte *positions* (the
-        row width, e.g. ~88 for a masked RoCEv2 report frame) while the
-        table lookup and xor/shift run as numpy vector operations over all
-        rows -- this is what makes whole-batch iCRC generation and
-        validation cheap.
+        ``rows`` has shape ``(n, width)``; the result is an array of ``n``
+        CRCs (``uint32``, or ``uint64`` above 32 bits), bit-identical to
+        calling :meth:`compute` on each row's bytes.
 
-        Only reflected 32-bit algorithms are supported (the iCRC family);
-        anything else falls back to a per-row scalar loop.
+        A CRC is affine over GF(2): the register after ``width`` bytes is
+        the initial value run through ``width`` zero bytes, xor one term
+        per byte, ``T[p, row[p]]`` (:meth:`_advance_table`).  Columns that
+        hold the same byte in every row add the same term to every row,
+        so they are summed once; only the varying columns cost a table
+        gather per row.  A batch of report frames shares most header
+        bytes, so that is a few dozen gathers for the whole batch.
         """
-        rows = np.asarray(rows, dtype=np.uint8)
+        rows = np.ascontiguousarray(rows, dtype=np.uint8)
         if rows.ndim != 2:
             raise ValueError(f"expected a 2-D byte matrix, got shape {rows.shape}")
-        if not (self.width == 32 and self.reflect_in and self.reflect_out):
-            return np.fromiter(
-                (self.compute(row.tobytes()) for row in rows),
-                dtype=np.uint32,
-                count=len(rows),
-            )
-        if (
-            self.poly == 0x04C11DB7
-            and self.init == 0xFFFFFFFF
-            and self.xor_out == 0xFFFFFFFF
-        ):
-            # This parameterisation *is* zlib's CRC-32; one C call per row
-            # beats the position-wise numpy loop at every batch size (the
-            # loop's cost is ~width numpy dispatches regardless of rows).
-            data = np.ascontiguousarray(rows).tobytes()
-            width = rows.shape[1]
-            crc32_c = zlib.crc32
-            return np.fromiter(
-                (
-                    crc32_c(data[start:start + width])
-                    for start in range(0, len(data), width)
-                ),
-                dtype=np.uint32,
-                count=len(rows),
-            )
-        table = self._np_table
-        crc = np.full(len(rows), self.init, dtype=np.uint32)
-        eight = np.uint32(8)
-        for position in range(rows.shape[1]):
-            crc = table[(crc ^ rows[:, position]) & np.uint32(0xFF)] ^ (
-                crc >> eight
-            )
-        return crc ^ np.uint32(self.xor_out)
+        count, width = rows.shape
+        table = self._advance_table(width)
+        if count == 0:
+            return np.empty(0, dtype=table.dtype)
+        # Row d of ``table`` advances a term by d zero bytes, so the byte
+        # in column c (width - 1 - c bytes before the end) reads row
+        # width - 1 - c; column 256 holds the initial register.
+        distance = np.arange(width - 1, -1, -1)
+        varying = _varying_columns(rows)
+        constant = np.ones(width, dtype=bool)
+        constant[varying] = False
+        register = table[width, 256] ^ np.bitwise_xor.reduce(
+            table[distance[constant], rows[0, constant]]
+        )
+        index = rows.T[varying].astype(np.intp)
+        index += (distance[varying] * table.shape[1])[:, None]
+        registers = np.bitwise_xor.reduce(table.ravel().take(index), axis=0)
+        registers ^= register
+        if self.reflect_in != self.reflect_out:
+            registers = _reflect_array(registers, self.width)
+        return registers ^ table.dtype.type(self.xor_out)
 
-    @property
-    def _np_table(self) -> np.ndarray:
-        """The lookup table as a ``uint32`` array (built once, cached)."""
-        cached = getattr(self, "_np_table_cache", None)
-        if cached is None:
-            cached = np.array(self._table, dtype=np.uint32)  # type: ignore[attr-defined]
-            object.__setattr__(self, "_np_table_cache", cached)
-        return cached
+    def _advance_table(self, width: int) -> np.ndarray:
+        """Register terms for rows of up to ``width`` bytes.
+
+        Row ``d``, column ``b < 256``, is the register (init 0) after the
+        byte ``b`` followed by ``d`` zero bytes; row ``d``, column 256, is
+        the initial register after ``d`` zero bytes.  Row 0 is the byte
+        table plus the initial register, and each further row is the
+        previous one pushed through one zero byte, which is linear.  The
+        table is kept and rebuilt only for a wider row, so every width up
+        to the widest seen shares it.
+        """
+        cached = getattr(self, "_advance_cache", None)
+        if cached is not None and len(cached) > width:
+            return cached
+        dtype = np.uint32 if self.width <= 32 else np.uint64
+        byte_table = np.array(self._table, dtype=dtype)  # type: ignore[attr-defined]
+        table = np.empty((width + 1, 257), dtype=dtype)
+        table[0, :256] = byte_table
+        table[0, 256] = self.init
+        low_byte, eight = dtype(0xFF), dtype(8)
+        for distance in range(1, width + 1):
+            previous = table[distance - 1]
+            if self.reflect_in:
+                table[distance] = byte_table[previous & low_byte] ^ (previous >> eight)
+            else:
+                table[distance] = (
+                    byte_table[(previous >> dtype(self.width - 8)) & low_byte]
+                    ^ (previous << eight)
+                ) & dtype(self.mask)
+        object.__setattr__(self, "_advance_cache", table)
+        return table
 
     def verify(self) -> bool:
         """Check the algorithm against its catalogue check value."""

@@ -270,62 +270,77 @@ class MemoryRegion:
     def write_offset_columnar(
         self, offsets: np.ndarray, payloads: np.ndarray
     ) -> int:
-        """Columnar batched writes: all payloads share one width.
+        """Columnar batched writes of whole slots that share one width.
 
         ``offsets`` is an integer array and ``payloads`` a matching
         ``uint8[count, width]`` matrix; row ``i`` lands at ``offsets[i]``.
-        Results (memory image, write/overwrite counters) are identical to
-        calling :meth:`write_offset` per row in order, provided target
-        ranges are pairwise disjoint-or-identical -- true by construction
-        for slot-aligned telemetry writes, which is the only caller.
-        Bounds are validated for the whole batch before any byte lands.
-        Returns the number of writes applied.
+        Every offset must be a multiple of ``width``, so any two target
+        ranges are the same slot or disjoint, and the memory image and the
+        write/overwrite counters are identical to calling
+        :meth:`write_offset` per row in order.  Bounds and alignment are
+        checked for the whole batch before any byte lands: an
+        out-of-bounds offset raises :class:`RegionAccessError`, an
+        unaligned one (or a zero width) :class:`ValueError`.  Returns the
+        number of writes applied.
         """
         offsets = np.asarray(offsets, dtype=np.int64)
         count = len(offsets)
         if count == 0:
             return 0
         width = payloads.shape[1]
-        if ((offsets < 0) | (offsets + width > self.size)).any():
-            bad = int(
-                offsets[
-                    np.argmax((offsets < 0) | (offsets + width > self.size))
-                ]
-            )
+        outside = (offsets < 0) | (offsets + width > self.size)
+        if outside.any():
+            bad = int(offsets[np.argmax(outside)])
             raise RegionAccessError(
                 f"local write [{bad}, +{width}) outside region "
                 f"of size {self.size}"
             )
+        if width == 0:
+            raise ValueError("columnar writes need a non-empty payload width")
+        slots, misaligned = np.divmod(offsets, width)
+        if misaligned.any():
+            bad = int(offsets[np.argmax(misaligned != 0)])
+            raise ValueError(
+                f"columnar write at offset {bad} is not aligned to its "
+                f"{width}-byte width"
+            )
+        # The region and the payloads as whole-slot np.void records: one
+        # record per slot, compared and scattered as a unit.
+        record = np.dtype((np.void, width))
+        empty = np.zeros((), dtype=record)
         buffer = np.frombuffer(self._buffer, dtype=np.uint8)
-        # Group rows by offset, stable, so "previous write to this slot"
-        # is well defined for both overwrite accounting and last-wins.
-        order = np.argsort(offsets, kind="stable")
-        sorted_offsets = offsets[order]
+        slot_records = buffer[: self.size // width * width].view(record)
+        payload_records = np.ascontiguousarray(payloads).view(record).ravel()
+        # Sort (slot, arrival) packed into one int64 key (below region
+        # bytes * batch rows, far from 2**63 for anything held in memory),
+        # so the writes to a slot are adjacent and in arrival order:
+        # "previous write to this slot" is then well defined for
+        # overwrite accounting and last-wins.
+        sorted_slots, order = np.divmod(
+            np.sort(slots * count + np.arange(count)), count
+        )
         is_first = np.empty(count, dtype=bool)
         is_first[0] = True
-        is_first[1:] = sorted_offsets[1:] != sorted_offsets[:-1]
+        is_first[1:] = sorted_slots[1:] != sorted_slots[:-1]
         if self._track_overwrites:
             # First write per slot overwrites iff the slot was live before
             # the batch; each repeat overwrites iff the preceding write to
             # the same slot carried non-zero bytes.
-            first_offsets = sorted_offsets[is_first]
-            windows = first_offsets[:, None] + np.arange(width)
-            overwrites = int(buffer[windows].any(axis=1).sum())
+            overwrites = int(
+                (slot_records[sorted_slots[is_first]] != empty).sum()
+            )
             repeat_positions = np.flatnonzero(~is_first)
             if len(repeat_positions):
                 previous_rows = order[repeat_positions - 1]
-                overwrites += int(payloads[previous_rows].any(axis=1).sum())
+                overwrites += int((payload_records[previous_rows] != empty).sum())
             if overwrites:
                 self.c_slot_overwrites.inc(overwrites)
         # Last-wins scatter: numpy fancy assignment with duplicate indexes
         # is unordered, so only the final write per slot is applied.
         is_last = np.empty(count, dtype=bool)
         is_last[-1] = True
-        is_last[:-1] = sorted_offsets[1:] != sorted_offsets[:-1]
-        final_rows = order[is_last]
-        buffer[offsets[final_rows][:, None] + np.arange(width)] = payloads[
-            final_rows
-        ]
+        is_last[:-1] = is_first[1:]
+        slot_records[sorted_slots[is_last]] = payload_records[order[is_last]]
         self.c_writes.inc(count)
         self.c_bytes_written.inc(count * width)
         return count

@@ -47,6 +47,18 @@ from repro.rdma.packets import (
 )
 from repro.rdma.qp import QueuePair
 
+#: Frame columns the vectorised ingest pins, and the bytes they must hold:
+#: ethertype IPv4 (12-13), version/IHL (14), protocol UDP (23), UDP
+#: destination port 4791 (36-37); the BTH opcode (42) is appended per call.
+_PINNED_COLUMNS = np.array([12, 13, 14, 23, 36, 37, 42])
+_PINNED_BYTES = (0x08, 0x00, 0x45, 17, 0x12, 0xB7)
+
+
+def _rows_carry(frames: np.ndarray, opcode: Opcode) -> bool:
+    """Whether every row is IPv4/UDP/RoCEv2 with BTH opcode ``opcode``."""
+    pinned = np.array(_PINNED_BYTES + (int(opcode),), dtype=np.uint8)
+    return bool((frames[:, _PINNED_COLUMNS] == pinned).all())
+
 
 class NicCounters:
     """Hardware-style drop/accept counters exposed for diagnostics.
@@ -303,32 +315,31 @@ class RdmaNic:
         return executed
 
     def _batch_is_uniform_writes(self, frames: np.ndarray) -> bool:
-        """Whether every row is a well-formed DART WRITE frame.
+        """Whether every row is a well-formed, slot-aligned DART WRITE frame.
 
         The vectorised ingest handles exactly the frame shape the DART
         switch emits: IPv4/UDP/RoCEv2, RC RDMA WRITE ONLY, RETH dma_length
-        matching the payload, consistent length fields.  Anything else
-        (truncated frames, other opcodes, foreign traffic) routes through
-        the scalar reference path, which implements the full per-frame
-        drop taxonomy.
+        matching a non-empty payload, consistent length fields, and every
+        ``VA - base`` (mod 2**64) a multiple of the payload width -- so
+        two writes hit the same slot or disjoint bytes, which is what
+        :meth:`MemoryRegion.write_offset_columnar` requires.  Anything
+        else (truncated frames, other opcodes, foreign traffic, unaligned
+        writes whose ranges could overlap without being equal) routes
+        through the scalar reference path, which implements the full
+        per-frame drop taxonomy and applies writes in arrival order.
         """
         width = frames.shape[1]
-        if width < OVERHEAD_BYTES:
+        payload_bytes = width - OVERHEAD_BYTES
+        if payload_bytes <= 0:
             return False
-        ok = (
-            (frames[:, 12] == 0x08)
-            & (frames[:, 13] == 0x00)  # ethertype IPv4
-            & (frames[:, 14] == 0x45)  # version/IHL
-            & (frames[:, 23] == 17)  # protocol UDP
-            & (frames[:, 36] == 0x12)
-            & (frames[:, 37] == 0xB7)  # dst port 4791
-            & (frames[:, 42] == int(Opcode.RC_RDMA_WRITE_ONLY))
-        )
-        if not bool(ok.all()):
+        if not _rows_carry(frames, Opcode.RC_RDMA_WRITE_ONLY):
             return False
         if not bool((read_be16(frames, 16) == width - 14).all()):
             return False  # IPv4 total length inconsistent
-        return bool((read_be32(frames, 66) == width - OVERHEAD_BYTES).all())
+        if not bool((read_be32(frames, 66) == payload_bytes).all()):
+            return False  # RETH dma_length is not the payload length
+        offsets = read_be64(frames, 54) - np.uint64(self.region.base_address)
+        return not (offsets % np.uint64(payload_bytes)).any()
 
     def _batch_is_uniform_fetch_adds(self, frames: np.ndarray) -> bool:
         """Whether every row is a well-formed RC FETCH_ADD frame.
@@ -341,16 +352,7 @@ class RdmaNic:
         width = frames.shape[1]
         if width != ATOMIC_FRAME_BYTES:
             return False
-        ok = (
-            (frames[:, 12] == 0x08)
-            & (frames[:, 13] == 0x00)  # ethertype IPv4
-            & (frames[:, 14] == 0x45)  # version/IHL
-            & (frames[:, 23] == 17)  # protocol UDP
-            & (frames[:, 36] == 0x12)
-            & (frames[:, 37] == 0xB7)  # dst port 4791
-            & (frames[:, 42] == int(Opcode.RC_FETCH_ADD))
-        )
-        if not bool(ok.all()):
+        if not _rows_carry(frames, Opcode.RC_FETCH_ADD):
             return False
         return bool((read_be16(frames, 16) == width - 14).all())
 

@@ -12,6 +12,8 @@ taxonomy and overwrite accounting, and including under impairment.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.addressing import COLLECTOR_FUNCTION_INDEX, DartAddressing
 from repro.core.batch import ReportBatch
@@ -22,7 +24,10 @@ from repro.hashing.checksum import CHECKSUM_FUNCTION_INDEX
 from repro.hashing.crc import CRC32
 from repro.hashing.hash_family import _fixed_width_bytes, fold_key, fold_keys
 from repro.mem.region import MemoryRegion, RegionAccessError
-from repro.rdma.frames import icrc_rows, write_be64, write_le32
+from repro.rdma.frames import FrameBatch, icrc_rows, write_be64, write_le32
+from repro.rdma.nic import RdmaNic
+from repro.rdma.packets import Bth, Opcode, Reth, RoceV2Packet
+from repro.rdma.qp import PsnPolicy, QueuePair
 from repro.switch.dart_switch import DartSwitch
 
 
@@ -387,6 +392,118 @@ class TestNicBatchValidationParity:
         )
 
 
+def write_frames(writes, rkey=0x42, dest_qp=0x11):
+    """Scalar-packed RC WRITE ONLY frames, one per ``(va, payload)``."""
+    return [
+        RoceV2Packet(
+            bth=Bth(
+                opcode=int(Opcode.RC_RDMA_WRITE_ONLY), dest_qp=dest_qp, psn=psn
+            ),
+            reth=Reth(virtual_address=va, rkey=rkey, dma_length=len(payload)),
+            payload=payload,
+        ).pack()
+        for psn, (va, payload) in enumerate(writes)
+    ]
+
+
+def ingest_both_ways(frames, size, base=0x10000):
+    """Feed ``frames`` to one NIC per frame and to another as one batch.
+
+    Returns ``(scalar, columnar)`` NICs; both own a fresh region of
+    ``size`` bytes at ``base`` and a PSN-ignoring QP, so every well-formed
+    in-bounds WRITE executes.
+    """
+    nics = []
+    for _ in range(2):
+        nic = RdmaNic(MemoryRegion(size=size, base_address=base, rkey=0x42))
+        nic.create_queue_pair(QueuePair(qp_number=0x11, policy=PsnPolicy.IGNORE))
+        nics.append(nic)
+    scalar, columnar = nics
+    executed_scalar = scalar.ingest_many(frames)
+    matrix = np.frombuffer(b"".join(frames), dtype=np.uint8).reshape(
+        len(frames), -1
+    )
+    batch = FrameBatch(matrix.copy(), np.zeros(len(frames), dtype=np.int64))
+    assert columnar.ingest_batch(batch) == executed_scalar
+    return scalar, columnar
+
+
+def assert_same_outcome(scalar, columnar):
+    assert scalar.counters == columnar.counters
+    assert scalar.region.snapshot() == columnar.region.snapshot()
+    assert scalar.region.write_count == columnar.region.write_count
+    assert (
+        scalar.region.c_slot_overwrites.value
+        == columnar.region.c_slot_overwrites.value
+    )
+
+
+class TestNicBatchWriteAlignment:
+    """WRITEs whose ranges overlap without being equal keep arrival order."""
+
+    def test_overlapping_unequal_writes_land_in_arrival_order(self):
+        base = 0x10000
+        first, second = b"A" * 24, b"B" * 24
+        frames = write_frames([(base + 24, first), (base + 12, second)])
+        scalar, columnar = ingest_both_ways(frames, size=96, base=base)
+        assert_same_outcome(scalar, columnar)
+        image = columnar.region.snapshot()
+        assert image[12:36] == second  # bytes 24-35: the later write wins
+        assert image[36:48] == first[12:]
+        assert columnar.counters.writes_executed == 2
+
+    def test_aligned_batch_keeps_the_columnar_path(self, monkeypatch):
+        base = 0x10000
+        frames = write_frames(
+            [(base + 48, b"x" * 24), (base, b"y" * 24), (base + 48, b"z" * 24)]
+        )
+        calls = []
+        original = MemoryRegion.write_offset_columnar
+
+        def spy(region, offsets, payloads):
+            calls.append(offsets.tolist())
+            return original(region, offsets, payloads)
+
+        monkeypatch.setattr(MemoryRegion, "write_offset_columnar", spy)
+        scalar, columnar = ingest_both_ways(frames, size=96, base=base)
+        assert calls == [[48, 0, 48]]
+        assert_same_outcome(scalar, columnar)
+        assert columnar.region.snapshot()[48:72] == b"z" * 24
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        width=st.sampled_from([8, 12, 24]),
+        writes=st.lists(
+            st.tuples(
+                st.sampled_from(["aligned", "unaligned", "repeat"]),
+                st.integers(min_value=0, max_value=10**6),
+                st.integers(min_value=0, max_value=255),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+    def test_random_in_bounds_writes_match_scalar_ingest(self, width, writes):
+        """Aligned, unaligned and repeated VAs: same bytes, same counters."""
+        base, slots = 0x10000, 8
+        size = slots * width
+        vas = []
+        payloads = []
+        for kind, draw, fill in writes:
+            if kind == "aligned" or (kind == "repeat" and not vas):
+                va = base + width * (draw % slots)
+            elif kind == "unaligned":
+                va = base + draw % (size - width + 1)
+            else:
+                va = vas[draw % len(vas)]
+            vas.append(va)
+            # Zero fills leave a slot dead, for the overwrite accounting.
+            payloads.append(bytes([fill]) * width if fill % 5 else bytes(width))
+        frames = write_frames(list(zip(vas, payloads)))
+        scalar, columnar = ingest_both_ways(frames, size=size, base=base)
+        assert_same_outcome(scalar, columnar)
+
+
 class TestRegionColumnarWrites:
     def _paired_regions(self, size=1024):
         return MemoryRegion(size), MemoryRegion(size)
@@ -433,3 +550,47 @@ class TestRegionColumnarWrites:
             np.empty(0, dtype=np.int64), np.empty((0, 8), dtype=np.uint8)
         ) == 0
         assert region.write_count == 0
+
+    def test_unaligned_offset_raises_before_any_byte_lands(self):
+        region = MemoryRegion(256)
+        offsets = np.array([0, 32, 40], dtype=np.int64)  # 40 is not 16-aligned
+        payloads = np.full((3, 16), 0x5A, dtype=np.uint8)
+        with pytest.raises(ValueError, match="not aligned"):
+            region.write_offset_columnar(offsets, payloads)
+        assert region.snapshot() == bytes(256)
+        assert region.write_count == 0
+        assert region.c_slot_overwrites.value == 0
+
+    def test_zero_width_is_rejected(self):
+        region = MemoryRegion(64)
+        with pytest.raises(ValueError, match="non-empty"):
+            region.write_offset_columnar(
+                np.array([0], dtype=np.int64), np.empty((1, 0), dtype=np.uint8)
+            )
+        assert region.write_count == 0
+
+    def test_overwrites_exact_for_repeats_and_live_slots(self):
+        """Slot 0 live before the batch, slot 1 written three times in it
+        (one all-zero write between two live ones), slot 2 fresh."""
+        width = 8
+        sequential, columnar = self._paired_regions(size=64)
+        for region in (sequential, columnar):
+            region.write_offset(0, b"\x01" * width)
+        offsets = np.array([8, 0, 8, 16, 8], dtype=np.int64)
+        payloads = np.array(
+            [[2] * width, [3] * width, [0] * width, [4] * width, [5] * width],
+            dtype=np.uint8,
+        )
+        for offset, payload in zip(offsets, payloads):
+            sequential.write_offset(int(offset), payload.tobytes())
+        columnar.write_offset_columnar(offsets, payloads)
+        # Slot 0 was live before the batch (1); slot 1's second write
+        # replaces live bytes (1), its third lands on the zeroed slot (0);
+        # slot 2 is fresh (0).
+        assert columnar.c_slot_overwrites.value == 2
+        assert (
+            sequential.c_slot_overwrites.value
+            == columnar.c_slot_overwrites.value
+        )
+        assert sequential.snapshot() == columnar.snapshot()
+        assert columnar.snapshot()[8:16] == bytes([5]) * width

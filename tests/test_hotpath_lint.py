@@ -12,9 +12,10 @@ Scalar reference paths (``report_into``, ``receive_frame``, ...) are
 exempt: the rule applies only to functions whose names mark them as part
 of the batch datapath (``*batch*`` / ``*columnar*`` / ``*_many``, the
 naming convention the primitive translators' batched entry points use)
-and to the columnar key fold ``fold_keys``, which must not slide back to
-one scalar fold per key.  Comprehensions and generator expressions count
-as loops.
+and to the columnar key fold ``fold_keys`` and row CRCs ``compute_rows`` /
+``icrc_rows``, which must not slide back to one scalar fold or CRC per
+row.  Comprehensions and generator expressions count as loops, and a
+local alias of a banned callable (``crc = zlib.crc32``) is banned too.
 """
 
 import ast
@@ -39,10 +40,11 @@ HOT_PATH_MODULES = [
     SRC / "primitives" / "append.py",
     SRC / "primitives" / "sketch.py",
     SRC / "hashing" / "hash_family.py",
+    SRC / "hashing" / "crc.py",
 ]
 
 #: Batch functions whose names do not follow the naming convention.
-BATCH_FUNCTION_NAMES = {"fold_keys"}
+BATCH_FUNCTION_NAMES = {"fold_keys", "compute_rows", "icrc_rows"}
 
 #: Per-report object constructors and codecs.  Constructing any of these
 #: once per report inside a batch loop defeats the columnar layout.
@@ -61,6 +63,12 @@ PER_REPORT_CONSTRUCTORS = {
     "fold_key",  # the scalar key fold; batch code uses fold_keys
     "_fold_bytes",
     "splitmix64",  # the scalar mixer; batch code uses _splitmix64_np
+    # Scalar CRCs; batch code uses CrcAlgorithm.compute_rows / icrc_rows.
+    "compute",
+    "crc8",
+    "crc16",
+    "crc32",
+    "crc32c",
 }
 
 #: Loop constructs: statements and the comprehension family.
@@ -75,14 +83,29 @@ LOOP_NODES = (
 )
 
 
+def _terminal_name(node: ast.AST) -> str:
+    """The terminal identifier of a name or attribute (``a.b.C`` -> ``C``)."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return ""
+
+
 def _call_name(node: ast.Call) -> str:
     """The terminal identifier of a call target (``a.b.C(...)`` -> ``C``)."""
-    func = node.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return ""
+    return _terminal_name(node.func)
+
+
+def _banned_names(function: ast.AST) -> set:
+    """Banned callables, plus ``function``'s local aliases of them."""
+    banned = set(PER_REPORT_CONSTRUCTORS)
+    for node in ast.walk(function):
+        if isinstance(node, ast.Assign) and _terminal_name(node.value) in banned:
+            banned.update(
+                target.id for target in node.targets if isinstance(target, ast.Name)
+            )
+    return banned
 
 
 def _batch_functions(tree: ast.AST):
@@ -99,13 +122,14 @@ def _batch_functions(tree: ast.AST):
 
 def _loop_violations(function: ast.AST, path: pathlib.Path):
     """Banned calls inside any loop of ``function``."""
+    banned = _banned_names(function)
     for node in ast.walk(function):
         if not isinstance(node, LOOP_NODES):
             continue
         for inner in ast.walk(node):
             if isinstance(inner, ast.Call):
                 name = _call_name(inner)
-                if name in PER_REPORT_CONSTRUCTORS:
+                if name in banned:
                     yield (
                         f"{path}:{inner.lineno}: {function.name}() calls "
                         f"{name}(...) inside a loop"
@@ -155,5 +179,29 @@ def test_lint_catches_a_scalar_key_fold():
     flagged = list(_loop_violations(function, pathlib.Path("seeded.py")))
     assert len(flagged) == 3
     assert {"fold_key", "splitmix64", "_fold_bytes"} == {
+        line.split(" calls ")[1].split("(")[0] for line in flagged
+    }
+
+
+def test_lint_catches_a_per_row_crc():
+    """The per-row CRC generators ``compute_rows`` once had are flagged,
+    including the call through a local alias of ``zlib.crc32``."""
+    tree = ast.parse(
+        "def compute_rows(self, rows):\n"
+        "    if not self.reflect_in:\n"
+        "        return np.fromiter(\n"
+        "            (self.compute(row.tobytes()) for row in rows),\n"
+        "            dtype=np.uint32, count=len(rows))\n"
+        "    data = np.ascontiguousarray(rows).tobytes()\n"
+        "    width = rows.shape[1]\n"
+        "    crc32_c = zlib.crc32\n"
+        "    return np.fromiter(\n"
+        "        (crc32_c(data[start:start + width])\n"
+        "         for start in range(0, len(data), width)),\n"
+        "        dtype=np.uint32, count=len(rows))\n"
+    )
+    function = next(_batch_functions(tree))
+    flagged = list(_loop_violations(function, pathlib.Path("seeded.py")))
+    assert {"compute", "crc32_c"} == {
         line.split(" calls ")[1].split("(")[0] for line in flagged
     }
